@@ -45,6 +45,23 @@ REFERENCE_ROW_BITS = 65536
 #: per-row minimum (Euler-Mascheroni-ish order-statistics constant).
 MIN_ANCHOR_COUNT = 0.56
 
+#: Version of the weak-cell model.  Bump it whenever a change alters the
+#: cells sampled for a given seed, and so every record a campaign yields;
+#: :func:`repro.service.store.spec_key` folds it into the service's cache
+#: keys, so results of another model version are never served.
+#: Version 2: clustered columns come from :func:`_sample_clustered`.
+MODEL_VERSION = 2
+
+#: Bits per ECC word; press cells cluster within words (Fig. 25/26).
+WORD_BITS = 64
+
+#: Largest cluster: geometric cluster sizes are capped here.
+MAX_CLUSTER_SIZE = 32
+
+#: Clustering stops once this fraction of a row is still free (each drawn
+#: offset then lands with lower odds); the rest of the count is uniform.
+STALL_FREE_FRACTION = 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class TailAnchor:
@@ -280,34 +297,119 @@ def _sample_columns(
     if count >= pool_size:
         # Saturated population: every allowed column is weak, so the
         # draw is the whole pool no matter how it would be clustered.
-        # (Skips the coupon-collector batches below, which previously
-        # cost ~100 ms per saturated row.)
         return np.flatnonzero(allowed).astype(np.int64)
     if cluster_size_mean <= 1.0:
         pool = np.flatnonzero(allowed)
         return np.sort(rng.choice(pool, size=count, replace=False))
-    # Clustered sampling: group cells into 64-bit words so that multi-bit
-    # ECC words appear (Fig. 25/26).  Draw whole batches of clusters at a
-    # time: words, geometric sizes, and per-cluster offset subsets via a
-    # random ranking matrix.
-    words = row_bits // 64
-    chosen = np.zeros(row_bits, dtype=bool)
+    return _sample_clustered(rng, count, row_bits, cluster_size_mean, allowed)
+
+
+def _sample_clustered(
+    rng: np.random.Generator,
+    count: int,
+    row_bits: int,
+    cluster_size_mean: float,
+    allowed: np.ndarray,
+) -> np.ndarray:
+    """Place exactly ``count`` word-clustered cells on ``allowed`` columns.
+
+    Clusters group cells into 64-bit words so that multi-bit ECC words
+    appear (Fig. 25/26).  They arrive one after another: a geometric
+    size (mean ``cluster_size_mean``, capped at :data:`MAX_CLUSTER_SIZE`),
+    a uniform word, and that many distinct uniform offsets over all 64
+    bits of the word.  An offset on a forbidden or already-taken column
+    is dropped; this thinning sets the per-word statistics of a crowded
+    row.  The cluster that crosses ``count`` keeps a uniform subset of
+    its cells.  Each batch draws the clusters expected to place the
+    remaining cells, so the RNG volume scales with the cells drawn.
+
+    A drawn offset lands with probability (free bits / ``row_bits``),
+    so clustering stalls in a nearly full row: it stops once only
+    :data:`STALL_FREE_FRACTION` of the row is free, and the remaining
+    cells are drawn uniformly from the free columns.
+    """
+    free = allowed.copy()
+    pool_size = int(np.count_nonzero(free))
+    n_free = pool_size
+    stall = min(pool_size, math.ceil(STALL_FREE_FRACTION * row_bits))
+    floor = max(pool_size - count, stall)  # free columns left when clustering ends
     geometric_p = 1.0 / cluster_size_mean
-    need = count
-    for _ in range(32):  # safety bound; converges in 1-2 batches
-        n_clusters = max(int(need / cluster_size_mean), 1) + 4
-        sizes = np.minimum(rng.geometric(geometric_p, size=n_clusters), 32)
-        cluster_words = rng.integers(0, words, size=n_clusters)
-        ranks = np.argsort(rng.random((n_clusters, 64)), axis=1)
-        take = ranks < sizes[:, None]
-        columns = (cluster_words[:, None] * 64 + np.arange(64)[None, :])[take]
-        columns = columns[allowed[columns] & ~chosen[columns]]
-        columns = np.unique(columns)[:need]
-        chosen[columns] = True
-        need = count - int(chosen.sum())
-        if need <= 0:
-            break
-    return np.flatnonzero(chosen).astype(np.int64)
+    while n_free > floor:
+        need = n_free - floor
+        # Landing odds fall as the row fills: row_bits * ln(n_free / floor)
+        # offsets are expected to place ``need`` cells.  The slack makes
+        # one batch usually suffice; a short batch is followed by another.
+        draws = row_bits * math.log(n_free / floor)
+        n_clusters = int(1.02 * draws / cluster_size_mean) + 4
+        sizes = np.minimum(rng.geometric(geometric_p, size=n_clusters), MAX_CLUSTER_SIZE)
+        words = rng.integers(0, row_bits // WORD_BITS, size=n_clusters)
+        columns = np.repeat(words * WORD_BITS, sizes) + _cluster_offsets(rng, sizes)
+        landed = free[columns]
+        columns = columns[landed]
+        free[columns] = False
+        placed = n_free - int(np.count_nonzero(free))
+        if placed > need:
+            free[columns] = True
+            owners = np.repeat(np.arange(n_clusters), sizes)[landed]
+            free[_first_cells(rng, columns, owners, need, row_bits)] = False
+            placed = need
+        n_free -= placed
+    top_up = floor - (pool_size - count)
+    if top_up > 0:
+        free[rng.choice(np.flatnonzero(free), size=top_up, replace=False)] = False
+    return np.flatnonzero(allowed & ~free).astype(np.int64)
+
+
+def _cluster_offsets(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """Distinct uniform in-word offsets for each cluster, cluster-major.
+
+    Floyd's algorithm for every cluster at once: step ``s`` draws one
+    offset for each cluster larger than ``s``, so the draws total
+    ``sizes.sum()``.  Clusters are visited largest first, which makes
+    each step's active clusters a prefix.  Within a cluster the offsets
+    form a uniform subset, but their order is not uniform.
+    """
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(-sizes.astype(np.int8), kind="stable")
+    descending = sizes[order]
+    slots = starts[order]
+    offsets = np.empty(int(sizes.sum()), dtype=np.int64)
+    used = np.zeros(sizes.size, dtype=np.uint64)  # per-cluster offset bitmask
+    for step in range(int(descending[0])):
+        active = int(np.searchsorted(-descending, -step))  # clusters larger than step
+        top = WORD_BITS + step - descending[:active]
+        pick = rng.integers(0, top + 1).astype(np.uint64)
+        mask = used[:active]
+        seen = ((mask >> pick) & np.uint64(1)).astype(bool)
+        pick = np.where(seen, top.astype(np.uint64), pick)
+        mask |= np.uint64(1) << pick
+        offsets[slots[:active] + step] = pick
+    return offsets
+
+
+def _first_cells(
+    rng: np.random.Generator,
+    columns: np.ndarray,
+    owners: np.ndarray,
+    need: int,
+    row_bits: int,
+) -> np.ndarray:
+    """The first ``need`` distinct ``columns`` in cluster order.
+
+    ``owners`` (non-decreasing) names each column's cluster.  A column
+    two clusters share belongs to the earlier one.  The cluster that
+    crosses ``need`` keeps a uniform subset of its cells, since
+    :func:`_cluster_offsets` orders a cluster's offsets non-uniformly.
+    """
+    position = np.arange(columns.size)
+    first = np.full(row_bits, columns.size)
+    np.minimum.at(first, columns, position)
+    fresh = first[columns] == position
+    columns, owners = columns[fresh], owners[fresh]
+    edge = owners[need - 1]
+    whole = columns[owners < edge]
+    partial = rng.choice(columns[owners == edge], size=need - whole.size, replace=False)
+    return np.concatenate([whole, partial])
 
 
 def _sample_thresholds(
@@ -342,8 +444,8 @@ class CellPopulation:
     ) -> None:
         if not 0.0 <= true_cell_fraction <= 1.0:
             raise ValueError("true_cell_fraction must be in [0, 1]")
-        if row_bits < 64:
-            raise ValueError("row_bits must be at least 64")
+        if row_bits < WORD_BITS or row_bits % WORD_BITS:
+            raise ValueError("row_bits must be a positive multiple of 64")
         self._seed_tree = seed_tree
         self.row_bits = row_bits
         self.hammer_spec = hammer

@@ -1,13 +1,15 @@
 """Content-addressed campaign result store.
 
-Results are keyed by a digest of the *canonical spec JSON* — and a
+Results are keyed by a digest of the *canonical spec JSON* and the
+weak-cell model version — and a
 :class:`~repro.characterization.campaign.CampaignSpec` contains the
 seed, module list, experiment kind, and every sweep knob, so two
 submissions with identical (spec, seed, modules) resolve to the same
-key.  Because every campaign is a deterministic function of its spec
-(see docs/CAMPAIGNS.md), a stored result is *the* result: resubmitting a
-spec the fleet has already characterized is served straight from the
-store as a cache hit, never re-run.
+key under one model version.  Because every campaign is a deterministic
+function of its spec and the model (see docs/CAMPAIGNS.md), a stored
+result is *the* result: resubmitting a spec the fleet has already
+characterized is served straight from the store as a cache hit, never
+re-run.
 
 Files on disk are ordinary schema-v2 results files (the exact bytes
 :func:`~repro.characterization.campaign.save_results` writes), so a
@@ -27,6 +29,7 @@ from repro.characterization.campaign import (
     dumps_results,
     loads_results,
 )
+from repro.dram.cells import MODEL_VERSION
 from repro.obs import atomic_write_text, get_logger
 from repro.testkit.faults import fault_point, fault_write
 from repro.testkit.points import SERVICE_STORE_PUT, SERVICE_STORE_READ
@@ -39,13 +42,17 @@ logger = get_logger("service.store")
 def spec_key(spec: CampaignSpec) -> str:
     """Content address of a campaign's results.
 
-    A SHA-256 digest (truncated to 24 hex chars) of the spec serialized
-    canonically — sorted keys, no whitespace — so key equality is exactly
-    spec equality, independent of field order or formatting in the JSON
-    a client submitted.
+    A SHA-256 digest (truncated to 24 hex chars) of the spec and the
+    weak-cell model version serialized canonically — sorted keys, no
+    whitespace — so key equality is exactly spec equality under one
+    model version, independent of field order or formatting in the JSON
+    a client submitted.  A store written by another model version never
+    serves a hit.
     """
     canonical = json.dumps(
-        dataclasses.asdict(spec), sort_keys=True, separators=(",", ":")
+        {"model_version": MODEL_VERSION, "spec": dataclasses.asdict(spec)},
+        sort_keys=True,
+        separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
 

@@ -12,6 +12,7 @@ from repro.dram.cells import (
     CellPopulation,
     PopulationSpec,
     TailAnchor,
+    _sample_columns,
     charged_mask,
 )
 from repro.rng import SeedTree
@@ -197,6 +198,64 @@ def test_press_clustering_creates_multibit_words():
     assert max(words.values(), default=0) >= 2  # clusters share words
 
 
+def _hammer_columns(row_bits, count, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(row_bits, size=count, replace=False))
+
+
+def test_near_saturated_clustered_row_returns_its_exact_count():
+    # H2-shaped: hammer cells take a third of the row and the press count
+    # is ~86% of the free bits; the old batch loop lost ~0.5% of them.
+    row_bits = 65536
+    forbidden = _hammer_columns(row_bits, 21_300)
+    pool = row_bits - forbidden.size
+    count = int(0.86 * pool)
+    for seed in range(3):
+        columns = _sample_columns(
+            np.random.default_rng(seed), count, row_bits, 2.5, forbidden
+        )
+        assert columns.size == count
+        assert np.unique(columns).size == count
+        assert not np.intersect1d(columns, forbidden).size
+
+
+def test_clustered_columns_have_no_low_column_bias():
+    # Keeping the lowest new columns when a batch overshoots its count
+    # moves ~2.5% of the cells (and of the left-over free columns) out
+    # of their half; both fractions must match the free pool's.
+    row_bits = 8192
+    forbidden = _hammer_columns(row_bits, 2700)
+    free = np.setdiff1d(np.arange(row_bits), forbidden)
+    free_low = np.mean(free < row_bits // 2)
+    for count, tolerance in ((2000, 0.02), (int(0.9 * free.size), 0.012)):
+        low, missed_low = [], []
+        for seed in range(40):
+            columns = _sample_columns(
+                np.random.default_rng(seed), count, row_bits, 2.5, forbidden
+            )
+            low.append(np.mean(columns < row_bits // 2))
+            missed = np.setdiff1d(free, columns)
+            missed_low.append(np.mean(missed < row_bits // 2))
+        assert abs(np.mean(low) - free_low) < 0.02
+        assert abs(np.mean(missed_low) - free_low) < tolerance
+
+
+@pytest.mark.parametrize("forbidden_count", [1000, 7900])
+def test_clustered_sampler_terminates_one_short_of_the_pool(forbidden_count):
+    # 7900 forbidden: the free pool is below the stall fraction from the
+    # start, so every cell comes from the uniform top-up.
+    row_bits = 8192
+    forbidden = _hammer_columns(row_bits, forbidden_count)
+    pool = row_bits - forbidden.size
+    for count in (pool - 1, pool // 2):
+        columns = _sample_columns(
+            np.random.default_rng(5), count, row_bits, 2.5, forbidden
+        )
+        assert columns.size == count
+        assert np.unique(columns).size == count
+        assert not np.intersect1d(columns, forbidden).size
+
+
 def test_charged_mask_true_and_anti():
     bits = np.array([0, 1, 0, 1])
     anti = np.array([False, False, True, True])
@@ -208,3 +267,5 @@ def test_invalid_population_args():
         make_population(true_cell_fraction=1.5)
     with pytest.raises(ValueError):
         make_population(row_bits=32)
+    with pytest.raises(ValueError):
+        make_population(row_bits=8192 + 32)

@@ -13,6 +13,7 @@ from repro.characterization.campaign import (
     run_campaign,
     save_results,
 )
+from repro.service import store as store_module
 from repro.service.store import ResultStore, spec_key
 
 
@@ -41,6 +42,17 @@ def test_spec_key_is_stable_and_spec_sensitive():
     assert a != spec_key(small_spec(seed=12))
     assert a != spec_key(small_spec(module_ids=("S0",)))
     assert a != spec_key(small_spec(experiment="taggonmin"))
+
+
+def test_spec_key_changes_with_the_model_version(monkeypatch):
+    # A store written by another weak-cell model must never serve a hit.
+    spec = small_spec()
+    key = spec_key(spec)
+    version = store_module.MODEL_VERSION
+    monkeypatch.setattr(store_module, "MODEL_VERSION", version + 1)
+    assert spec_key(spec) != key
+    monkeypatch.setattr(store_module, "MODEL_VERSION", version - 1)
+    assert spec_key(spec) != key
 
 
 def test_spec_key_ignores_submitted_json_formatting():

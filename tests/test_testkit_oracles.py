@@ -14,7 +14,8 @@ def test_registry_lists_the_paper_oracles():
     assert "acmin-monotone" in ALL
     assert "progcheck-differential" in ALL
     assert "isa-equivalence" in ALL
-    assert len(ALL) == 7
+    assert "cell-sampler" in ALL
+    assert len(ALL) == 8
     with pytest.raises(KeyError, match="unknown oracle"):
         oracles.get("no-such-oracle")
 

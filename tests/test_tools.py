@@ -142,7 +142,11 @@ def test_bench_trajectory_skips_cross_mode_comparison(tmp_path):
 
 
 def test_committed_trajectory_point_has_full_coverage():
-    payloads = sorted(ROOT.glob("BENCH_*.json"))
+    # BENCH_<pr>.json: the latest point has the highest PR number
+    # (a string sort would put BENCH_10 before BENCH_9).
+    payloads = sorted(
+        ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1])
+    )
     assert payloads, "expected at least one committed BENCH_<pr>.json"
     latest = json.loads(payloads[-1].read_text())
     assert latest["mode"] == "full"
